@@ -12,7 +12,7 @@
  * no threshold mask), which is every neuron with
  * drawsPerTick(p) == false.
  *
- * Equivalence argument (mirrors the word-parallel integrate path):
+ * Equivalence argument (mirrors the batched integrate gear):
  * for a zero-draw neuron, one end-of-tick update is the pure function
  *
  *   u   = clamp(v + omega * leak)          omega = reversal ? sgn(v) : 1

@@ -109,8 +109,8 @@ class BitVec
 
     /**
      * Call @p fn(size_t word_index, uint64_t word) for every nonzero
-     * backing word, in increasing word order.  The word-parallel
-     * integrate path folds whole 64-neuron strips through this.
+     * backing word, in increasing word order.  The batched update
+     * kernel sweeps whole 64-neuron strips through this.
      */
     template <typename Fn>
     void

@@ -190,7 +190,7 @@ applyWordScalarRange(const ApplyWord &a, uint32_t begin, uint32_t end)
                 const uint64_t *pl = a.detPlanes[g];
                 for (uint32_t p = 0; p < a.detUsed[g]; ++p)
                     cnt |= static_cast<int32_t>(
-                               (pl[p * a.detStride] >> b) & 1)
+                               (pl[p] >> b) & 1)
                         << p;
                 d = cnt * wt;
             }
@@ -389,8 +389,7 @@ applyWordAvx2(const ApplyWord &a, uint32_t n)
                 cnt = _mm256_add_epi32(
                     cnt,
                     _mm256_and_si256(
-                        laneMask256(a.detPlanes[g][p * a.detStride],
-                                    c),
+                        laneMask256(a.detPlanes[g][p], c),
                         _mm256_set1_epi32(1 << p)));
             const __m256i wt = load256(a.weight[g] + c);
             __m256i d = _mm256_mullo_epi32(cnt, wt);
@@ -590,7 +589,7 @@ applyWordAvx512(const ApplyWord &a, uint32_t n)
             __m512i cnt = zero;
             for (uint32_t p = 0; p < a.detUsed[g]; ++p) {
                 const auto m = static_cast<__mmask16>(
-                    a.detPlanes[g][p * a.detStride] >> c);
+                    a.detPlanes[g][p] >> c);
                 cnt = _mm512_mask_add_epi32(
                     cnt, m, cnt, _mm512_set1_epi32(1 << p));
             }
@@ -768,8 +767,7 @@ applyWordNeon(const ApplyWord &a, uint32_t n)
                 cnt = vaddq_s32(
                     cnt,
                     vreinterpretq_s32_u32(vandq_u32(
-                        laneMask4(a.detPlanes[g][p * a.detStride],
-                                  c),
+                        laneMask4(a.detPlanes[g][p], c),
                         vdupq_n_u32(1u << p))));
             const int32x4_t wt = vld1q_s32(a.weight[g] + c);
             int32x4_t d = vmulq_s32(cnt, wt);

@@ -27,6 +27,7 @@
 #include "runtime/simulator.hh"
 #include "runtime/snapshot.hh"
 #include "util/json.hh"
+#include "util/saturate.hh"
 
 namespace nscs {
 namespace {
@@ -288,6 +289,65 @@ TEST(SnapshotRejects, GarbageDocument)
     err.clear();
     EXPECT_FALSE(sim->restore(JsonValue::object(), &err));
     EXPECT_FALSE(err.empty());
+}
+
+/** @p arr with element @p i replaced by @p v (JsonValue has no
+ *  mutable element access). */
+JsonValue
+withElement(const JsonValue &arr, size_t i, JsonValue v)
+{
+    JsonValue out = JsonValue::array();
+    for (size_t k = 0; k < arr.size(); ++k)
+        out.append(k == i ? std::move(v) : arr.at(k));
+    return out;
+}
+
+/** @p snap with core 0, lane 0, neuron 0's potential set to @p v. */
+JsonValue
+withPotential(const JsonValue &snap, int64_t v)
+{
+    const JsonValue &device = snap.at("device");
+    const JsonValue &core = device.at("cores").at(0);
+    const JsonValue &lane = core.at("lanes").at(0);
+    JsonValue new_lane = lane;
+    new_lane.set("v", withElement(lane.at("v"), 0, JsonValue::integer(v)));
+    JsonValue new_core = core;
+    new_core.set("lanes",
+                 withElement(core.at("lanes"), 0, std::move(new_lane)));
+    JsonValue new_device = device;
+    new_device.set("cores", withElement(device.at("cores"), 0,
+                                        std::move(new_core)));
+    JsonValue out = snap;
+    out.set("device", std::move(new_device));
+    return out;
+}
+
+TEST(SnapshotRejects, PotentialOutsideRails)
+{
+    // A potential outside the neuron's potentialBits rails — or
+    // outside int32 altogether — must be refused, not truncated or
+    // accepted: the batched integrate's excursion guard assumes
+    // every potential starts inside its rails.
+    bench::CorticalWorkload w = tappedWorkload(2, 2, 5);
+    auto sim = chipSim(w, EngineKind::Event, 0);
+    sim->run(5);
+    const JsonValue snap = sim->snapshot();
+    const NeuronParams &p = w.cores[0].neurons[0];
+    const int64_t hi = satMax(p.potentialBits);
+    const int64_t lo = satMin(p.potentialBits);
+
+    std::string err;
+    auto fresh = chipSim(w, EngineKind::Event, 0);
+    EXPECT_TRUE(fresh->restore(withPotential(snap, hi), &err)) << err;
+    fresh = chipSim(w, EngineKind::Event, 0);
+    EXPECT_TRUE(fresh->restore(withPotential(snap, lo), &err)) << err;
+    for (int64_t bad : {int64_t{1} << 40, hi + 1, lo - 1}) {
+        fresh = chipSim(w, EngineKind::Event, 0);
+        err.clear();
+        EXPECT_FALSE(fresh->restore(withPotential(snap, bad), &err))
+            << "potential " << bad;
+        EXPECT_FALSE(err.empty());
+    }
 }
 
 } // anonymous namespace

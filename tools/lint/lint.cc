@@ -265,8 +265,9 @@ const NameRule kNameRules[] = {
     {"wall-clock", "std::chrono::high_resolution_clock", false,
      "wall-clock time source; simulated time is the tick counter"},
     {"wall-clock", "std::chrono::steady_clock", false,
-     "host timing in library code; if this is perf calibration that "
-     "cannot change architectural output, annotate with "
+     "host timing in library code; simulated time is the tick "
+     "counter.  Host-side perf reporting whose readings never feed "
+     "back into the simulation (like RunPerf) may be annotated with "
      "nscs-lint: allow(wall-clock): <why>"},
     // raw-random: all randomness flows through util/rng.
     {"raw-random", "rand", true,
