@@ -108,20 +108,6 @@ class BitVec
     }
 
     /**
-     * Call @p fn(size_t word_index, uint64_t word) for every nonzero
-     * backing word, in increasing word order.  The batched update
-     * kernel sweeps whole 64-neuron strips through this.
-     */
-    template <typename Fn>
-    void
-    forEachSetWord(Fn &&fn) const
-    {
-        for (size_t w = 0; w < words_.size(); ++w)
-            if (words_[w])
-                fn(w, words_[w]);
-    }
-
-    /**
      * Masked variant of forEachSet: visit set bits of
      * (*this & mask) in increasing index order without materializing
      * the intersection.  Sizes must match.

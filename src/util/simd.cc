@@ -121,43 +121,6 @@ andPopcountScalar(const uint64_t *a, const uint64_t *b, size_t words)
 }
 
 /**
- * The narrow batched neuron update over strip lanes [begin, end) —
- * the same arithmetic as neuron/batch.hh's batchUpdateOneV<int32_t>,
- * value for value (the narrow proof bounds every intermediate inside
- * int32).  @return fired flags at their absolute lane positions.
- */
-uint64_t
-updateStripScalarRange(const UpdateStrip &s, uint32_t begin,
-                       uint32_t end)
-{
-    uint64_t fired_bits = 0;
-    for (uint32_t j = begin; j < end; ++j) {
-        int32_t x = s.v[j];
-        int32_t sg = (x > 0) - (x < 0);
-        int32_t omega = 1 + s.rev[j] * (sg - 1);
-        int32_t lo = s.lo[j];
-        int32_t hi = s.hi[j];
-        int32_t u = x + omega * s.leak[j];
-        u = u < lo ? lo : (u > hi ? hi : u);
-        bool fired = u >= s.thr[j];
-        bool neg = u < s.negLim[j];
-        int32_t pos = s.posMul[j] * u + s.posAdd[j];
-        pos = pos < lo ? lo : (pos > hi ? hi : pos);
-        int32_t ng = s.negMul[j] * u + s.negAdd[j];
-        ng = ng < lo ? lo : (ng > hi ? hi : ng);
-        s.v[j] = fired ? pos : (neg ? ng : u);
-        fired_bits |= static_cast<uint64_t>(fired) << j;
-    }
-    return fired_bits;
-}
-
-uint64_t
-updateStripScalar(const UpdateStrip &s, uint32_t n)
-{
-    return updateStripScalarRange(s, 0, n);
-}
-
-/**
  * The batched synaptic apply over lanes [begin, end) — the reference
  * for util/simd.hh's applyWord contract.  Every intermediate fits
  * int32: counts <= 2^8, |weight| <= 255 and |v| <= 2^30 (potential
@@ -169,8 +132,6 @@ applyWordScalarRange(const ApplyWord &a, uint32_t begin, uint32_t end)
 {
     uint64_t applied = 0;
     for (uint32_t b = begin; b < end; ++b) {
-        if ((a.forcedDivert >> b) & 1)
-            continue;
         int32_t delta = 0, pos = 0, neg = 0;
         for (unsigned g = 0; g < kApplyWordTypes; ++g) {
             if (!a.detUsed[g])
@@ -319,47 +280,6 @@ clamp256(__m256i x, __m256i lo, __m256i hi)
     return _mm256_min_epi32(_mm256_max_epi32(x, lo), hi);
 }
 
-__attribute__((target("avx2"))) uint64_t
-updateStripAvx2(const UpdateStrip &s, uint32_t n)
-{
-    const __m256i one = _mm256_set1_epi32(1);
-    const __m256i zero = _mm256_setzero_si256();
-    uint64_t fired_bits = 0;
-    uint32_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        __m256i x = load256(s.v + j);
-        __m256i sg = _mm256_sub_epi32(_mm256_cmpgt_epi32(zero, x),
-                                      _mm256_cmpgt_epi32(x, zero));
-        __m256i omega = _mm256_add_epi32(
-            one, _mm256_mullo_epi32(load256(s.rev + j),
-                                    _mm256_sub_epi32(sg, one)));
-        __m256i lo = load256(s.lo + j);
-        __m256i hi = load256(s.hi + j);
-        __m256i u = _mm256_add_epi32(
-            x, _mm256_mullo_epi32(omega, load256(s.leak + j)));
-        u = clamp256(u, lo, hi);
-        __m256i thr = load256(s.thr + j);
-        __m256i fired = _mm256_or_si256(_mm256_cmpgt_epi32(u, thr),
-                                        _mm256_cmpeq_epi32(u, thr));
-        __m256i neg = _mm256_cmpgt_epi32(load256(s.negLim + j), u);
-        __m256i pos = _mm256_add_epi32(
-            _mm256_mullo_epi32(load256(s.posMul + j), u),
-            load256(s.posAdd + j));
-        pos = clamp256(pos, lo, hi);
-        __m256i ng = _mm256_add_epi32(
-            _mm256_mullo_epi32(load256(s.negMul + j), u),
-            load256(s.negAdd + j));
-        ng = clamp256(ng, lo, hi);
-        __m256i out = _mm256_blendv_epi8(u, ng, neg);
-        out = _mm256_blendv_epi8(out, pos, fired);
-        store256(s.v + j, out);
-        unsigned m = static_cast<unsigned>(
-            _mm256_movemask_ps(_mm256_castsi256_ps(fired)));
-        fired_bits |= static_cast<uint64_t>(m) << j;
-    }
-    return fired_bits | updateStripScalarRange(s, j, n);
-}
-
 /** Expand 8 plane bits (lanes sh..sh+7 of a word) into 32-bit lane
  *  masks: all-ones where the bit is set (AVX2 has no mask registers,
  *  so predication goes through compare + blend vectors). */
@@ -415,16 +335,15 @@ applyWordAvx2(const ApplyWord &a, uint32_t n)
             neg = _mm256_add_epi32(neg, _mm256_min_epi32(d, zero));
         }
         const __m256i v0 = load256(a.v + c);
-        // ok = (v0 + pos <= vHi) && (v0 + neg >= vLo) && !divert,
-        // built from andnot of the inverted compares.
-        const __m256i ok = _mm256_andnot_si256(
+        // ok = (v0 + pos <= vHi) && (v0 + neg >= vLo): the
+        // complement of either inverted compare.
+        const __m256i over = _mm256_or_si256(
             _mm256_cmpgt_epi32(_mm256_add_epi32(v0, pos),
                                load256(a.vHi + c)),
-            _mm256_andnot_si256(
-                _mm256_cmpgt_epi32(load256(a.vLo + c),
-                                   _mm256_add_epi32(v0, neg)),
-                _mm256_andnot_si256(laneMask256(a.forcedDivert, c),
-                                    _mm256_set1_epi32(-1))));
+            _mm256_cmpgt_epi32(load256(a.vLo + c),
+                               _mm256_add_epi32(v0, neg)));
+        const __m256i ok =
+            _mm256_andnot_si256(over, _mm256_set1_epi32(-1));
         store256(a.v + c,
                  _mm256_blendv_epi8(v0, _mm256_add_epi32(v0, delta),
                                     ok));
@@ -529,53 +448,6 @@ clamp512(__m512i x, __m512i lo, __m512i hi)
 }
 
 __attribute__((target("avx512f"))) uint64_t
-updateStripAvx512(const UpdateStrip &s, uint32_t n)
-{
-    const __m512i one = _mm512_set1_epi32(1);
-    const __m512i zero = _mm512_setzero_si512();
-    uint64_t fired_bits = 0;
-    uint32_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-        __m512i x = _mm512_loadu_si512(s.v + j);
-        // sg = (x > 0) - (x < 0), via mask-gated subtracts.
-        __m512i sg = _mm512_mask_sub_epi32(
-            zero, _mm512_cmpgt_epi32_mask(x, zero), zero,
-            _mm512_set1_epi32(-1));
-        sg = _mm512_mask_add_epi32(
-            sg, _mm512_cmpgt_epi32_mask(zero, x), sg,
-            _mm512_set1_epi32(-1));
-        __m512i omega = _mm512_add_epi32(
-            one, _mm512_mullo_epi32(_mm512_loadu_si512(s.rev + j),
-                                    _mm512_sub_epi32(sg, one)));
-        __m512i lo = _mm512_loadu_si512(s.lo + j);
-        __m512i hi = _mm512_loadu_si512(s.hi + j);
-        __m512i u = _mm512_add_epi32(
-            x, _mm512_mullo_epi32(omega,
-                                  _mm512_loadu_si512(s.leak + j)));
-        u = clamp512(u, lo, hi);
-        __mmask16 fired = _mm512_cmp_epi32_mask(
-            u, _mm512_loadu_si512(s.thr + j), _MM_CMPINT_NLT);
-        __mmask16 neg = _mm512_cmp_epi32_mask(
-            u, _mm512_loadu_si512(s.negLim + j), _MM_CMPINT_LT);
-        __m512i pos = _mm512_add_epi32(
-            _mm512_mullo_epi32(_mm512_loadu_si512(s.posMul + j), u),
-            _mm512_loadu_si512(s.posAdd + j));
-        pos = clamp512(pos, lo, hi);
-        __m512i ng = _mm512_add_epi32(
-            _mm512_mullo_epi32(_mm512_loadu_si512(s.negMul + j), u),
-            _mm512_loadu_si512(s.negAdd + j));
-        ng = clamp512(ng, lo, hi);
-        __m512i out = _mm512_mask_blend_epi32(neg, u, ng);
-        out = _mm512_mask_blend_epi32(fired, out, pos);
-        _mm512_storeu_si512(s.v + j, out);
-        fired_bits |= static_cast<uint64_t>(
-                          static_cast<uint16_t>(fired))
-            << j;
-    }
-    return fired_bits | updateStripScalarRange(s, j, n);
-}
-
-__attribute__((target("avx512f"))) uint64_t
 applyWordAvx512(const ApplyWord &a, uint32_t n)
 {
     const __m512i zero = _mm512_setzero_si512();
@@ -621,7 +493,6 @@ applyWordAvx512(const ApplyWord &a, uint32_t n)
         ok = _mm512_mask_cmp_epi32_mask(
             ok, _mm512_add_epi32(v0, neg),
             _mm512_loadu_si512(a.vLo + c), _MM_CMPINT_NLT);
-        ok &= static_cast<__mmask16>(~(a.forcedDivert >> c));
         _mm512_mask_storeu_epi32(a.v + c, ok,
                                  _mm512_add_epi32(v0, delta));
         applied |= static_cast<uint64_t>(static_cast<uint16_t>(ok))
@@ -701,43 +572,6 @@ andPopcountNeon(const uint64_t *a, const uint64_t *b, size_t words)
         andPopcountScalarRange(a, b, w, words);
 }
 
-uint64_t
-updateStripNeon(const UpdateStrip &s, uint32_t n)
-{
-    const int32x4_t one = vdupq_n_s32(1);
-    const int32x4_t zero = vdupq_n_s32(0);
-    const uint32x4_t bitsel = {1u, 2u, 4u, 8u};
-    uint64_t fired_bits = 0;
-    uint32_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-        int32x4_t x = vld1q_s32(s.v + j);
-        int32x4_t sg = vsubq_s32(
-            vreinterpretq_s32_u32(vcgtq_s32(zero, x)),
-            vreinterpretq_s32_u32(vcgtq_s32(x, zero)));
-        int32x4_t omega = vaddq_s32(
-            one, vmulq_s32(vld1q_s32(s.rev + j), vsubq_s32(sg, one)));
-        int32x4_t lo = vld1q_s32(s.lo + j);
-        int32x4_t hi = vld1q_s32(s.hi + j);
-        int32x4_t u =
-            vmlaq_s32(x, omega, vld1q_s32(s.leak + j));
-        u = vminq_s32(vmaxq_s32(u, lo), hi);
-        uint32x4_t fired = vcgeq_s32(u, vld1q_s32(s.thr + j));
-        uint32x4_t neg = vcltq_s32(u, vld1q_s32(s.negLim + j));
-        int32x4_t pos = vmlaq_s32(vld1q_s32(s.posAdd + j),
-                                  vld1q_s32(s.posMul + j), u);
-        pos = vminq_s32(vmaxq_s32(pos, lo), hi);
-        int32x4_t ng = vmlaq_s32(vld1q_s32(s.negAdd + j),
-                                 vld1q_s32(s.negMul + j), u);
-        ng = vminq_s32(vmaxq_s32(ng, lo), hi);
-        int32x4_t out = vbslq_s32(neg, ng, u);
-        out = vbslq_s32(fired, pos, out);
-        vst1q_s32(s.v + j, out);
-        uint32_t m = vaddvq_u32(vandq_u32(fired, bitsel));
-        fired_bits |= static_cast<uint64_t>(m) << j;
-    }
-    return fired_bits | updateStripScalarRange(s, j, n);
-}
-
 /** Expand 4 plane bits (lanes sh..sh+3 of a word) into 32-bit lane
  *  masks: all-ones where the bit is set — the 4-lane sibling of
  *  laneMask256 (NEON predication also goes through compare + bsl). */
@@ -793,13 +627,12 @@ applyWordNeon(const ApplyWord &a, uint32_t n)
             neg = vaddq_s32(neg, vminq_s32(d, zero));
         }
         const int32x4_t v0 = vld1q_s32(a.v + c);
-        // ok = (v0 + pos <= vHi) && (v0 + neg >= vLo) && !divert.
-        const uint32x4_t ok = vandq_u32(
+        // ok = (v0 + pos <= vHi) && (v0 + neg >= vLo).
+        const uint32x4_t ok =
             vandq_u32(vcleq_s32(vaddq_s32(v0, pos),
                                 vld1q_s32(a.vHi + c)),
                       vcgeq_s32(vaddq_s32(v0, neg),
-                                vld1q_s32(a.vLo + c))),
-            vmvnq_u32(laneMask4(a.forcedDivert, c)));
+                                vld1q_s32(a.vLo + c)));
         vst1q_s32(a.v + c, vbslq_s32(ok, vaddq_s32(v0, delta), v0));
         applied |= static_cast<uint64_t>(
                        vaddvq_u32(vandq_u32(ok, bitsel)))
@@ -812,20 +645,18 @@ applyWordNeon(const ApplyWord &a, uint32_t n)
 
 const Ops kScalarOps = {foldRowScalar, orAccumulateScalar,
                         andWordsScalar, andPopcountScalar,
-                        updateStripScalar, applyWordScalar};
+                        applyWordScalar};
 
 #ifdef NSCS_SIMD_X86
 const Ops kAvx2Ops = {foldRowAvx2, orAccumulateAvx2, andWordsAvx2,
-                      andPopcountAvx2, updateStripAvx2,
-                      applyWordAvx2};
+                      andPopcountAvx2, applyWordAvx2};
 const Ops kAvx512Ops = {foldRowAvx512, orAccumulateAvx512,
                         andWordsAvx512, andPopcountAvx512,
-                        updateStripAvx512, applyWordAvx512};
+                        applyWordAvx512};
 #endif
 #ifdef NSCS_SIMD_NEON
 const Ops kNeonOps = {foldRowNeon, orAccumulateNeon, andWordsNeon,
-                      andPopcountNeon, updateStripNeon,
-                      applyWordNeon};
+                      andPopcountNeon, applyWordNeon};
 #endif
 
 Level

@@ -10,6 +10,7 @@
 #include <map>
 
 #include "core/core.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -226,6 +227,42 @@ TEST(Core, FootprintPositive)
 {
     Core core(relayCore());
     EXPECT_GT(core.footprintBytes(), sizeof(Core));
+}
+
+TEST(Core, RestoreIgnoresRetiredCounterKeys)
+{
+    // Older snapshots carry evalsBatched/evalsStochBatched counters,
+    // which the core no longer keeps: restore accepts them, drops
+    // them and continues bit-identically.
+    Core donor(relayCore());
+    std::vector<uint32_t> fired;
+    for (uint64_t t = 0; t < 4; ++t) {
+        donor.deposit(t, static_cast<uint32_t>(t));
+        donor.tickDense(t, fired);
+    }
+    JsonValue snap;
+    donor.saveState(snap);
+    EXPECT_FALSE(snap.at("counters").has("evalsBatched"));
+    JsonValue counters = snap.at("counters");
+    counters.set("evalsBatched", JsonValue::integer(48));
+    counters.set("evalsStochBatched", JsonValue::integer(7));
+    snap.set("counters", std::move(counters));
+
+    Core restored(relayCore());
+    ASSERT_TRUE(restored.restoreState(snap));
+    EXPECT_EQ(restored.counters().evalsBatched, 0u);
+    EXPECT_EQ(restored.counters().evalsStochBatched, 0u);
+    EXPECT_EQ(restored.counters().evals, donor.counters().evals);
+    std::vector<uint32_t> fired_d, fired_r;
+    for (uint64_t t = 4; t < 8; ++t) {
+        donor.deposit(t, static_cast<uint32_t>(t));
+        restored.deposit(t, static_cast<uint32_t>(t));
+        fired_d.clear();
+        fired_r.clear();
+        donor.tickDense(t, fired_d);
+        restored.tickDense(t, fired_r);
+        EXPECT_EQ(fired_r, fired_d) << "tick " << t;
+    }
 }
 
 // --- dense/sparse equivalence -------------------------------------------------

@@ -282,16 +282,6 @@ TEST(BitVec, WordCombinators)
     EXPECT_EQ(a.andPopcount(empty), 0u);
     EXPECT_FALSE(a.intersects(empty));
 
-    // forEachSetWord skips zero words and reports word-aligned bits.
-    std::vector<size_t> word_idx;
-    size_t bits_seen = 0;
-    acc.forEachSetWord([&](size_t w, uint64_t word) {
-        word_idx.push_back(w);
-        bits_seen += static_cast<size_t>(__builtin_popcountll(word));
-    });
-    EXPECT_EQ(word_idx, (std::vector<size_t>{0, 1, 2}));
-    EXPECT_EQ(bits_seen, 4u);
-
     // forEachSetMasked visits the intersection in ascending order.
     std::vector<size_t> masked;
     a.forEachSetMasked(b, [&masked](size_t i) { masked.push_back(i); });

@@ -20,8 +20,7 @@
  * must not mask a real regression verdict.
  *
  * For every workload present in both files (matched by name, across
- * the "workloads", "updateWorkloads", "classifierWorkloads"
- * and "boardWorkloads"
+ * the "workloads", "classifierWorkloads" and "boardWorkloads"
  * arrays) the tool prints baseline vs current fast-path ticks/s and
  * speedup, and flags a REGRESSION when the current fast-over-scalar
  * *speedup* falls below (1 - tolerance) x the baseline speedup.
@@ -144,8 +143,7 @@ appendSeries(const char *path, const std::string &commit,
     entry.set("commit", JsonValue::string(commit));
     JsonValue workloads = JsonValue::array();
     for (const char *key :
-         {"workloads", "updateWorkloads", "classifierWorkloads",
-          "boardWorkloads"}) {
+         {"workloads", "classifierWorkloads", "boardWorkloads"}) {
         if (!cur.has(key))
             continue;
         const JsonValue &arr = cur.at(key);
@@ -223,8 +221,7 @@ main(int argc, char **argv)
 
     std::vector<Row> rows;
     for (const char *key :
-         {"workloads", "updateWorkloads", "classifierWorkloads",
-          "boardWorkloads"}) {
+         {"workloads", "classifierWorkloads", "boardWorkloads"}) {
         collect(base, key, false, rows);
         collect(cur, key, true, rows);
     }
