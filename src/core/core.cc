@@ -761,7 +761,10 @@ Core::settledPotential(uint32_t n, uint64_t t, uint32_t inst) const
     NSCS_ASSERT(inst < instances(), "instance %u of %u", inst,
                 instances());
     const InstanceLane &L = inst_[inst];
-    if (mode_ != Mode::Sparse)
+    // An Unset core has not run a tick yet (an event-engine core with
+    // no work at tick 0): it projects like a Sparse one, from
+    // doneThrough = 0.
+    if (mode_ == Mode::Dense)
         return L.v[n];
     uint64_t done = L.doneThrough[n];
     if (done >= t || cls_[n] == UpdateClass::Dense)

@@ -287,13 +287,7 @@ TEST(UpdateFast, AllResetCombinationsMatchScalar)
                         std::vector<uint32_t> fired;
                         for (uint64_t t = 0; t < 24; ++t) {
                             fired.clear();
-                            // Tick 0 always runs, committing the core
-                            // to the sparse strategy (settledPotential
-                            // projects only on a committed core).
-                            if (t == 0)
-                                core.tickSparse(t, fired);
-                            else
-                                sparseContractTick(core, t, fired);
+                            sparseContractTick(core, t, fired);
                             const bool fs = endOfTickUpdate(v, p, nullptr);
                             ASSERT_EQ(core.settledPotential(0, t + 1), v)
                                 << "mode=" << mode << " sat=" << sat
